@@ -273,8 +273,6 @@ AnalysisRun spa::analyzeProgram(const Program &Prog,
     SOpts.Bud = Bud;
     SOpts.DegradeTo = &Run.Pre.Global;
     SOpts.Led = Led.get();
-    if (Opts.BeforeSparseFix)
-      Opts.BeforeSparseFix(Run, SOpts);
     SPA_OBS_TRACE("fixpoint");
     PhaseJournalScope PJ("fix");
     maybeInjectFault("fix");

@@ -26,7 +26,6 @@
 #include "core/SparseAnalysis.h"
 #include "obs/Ledger.h"
 
-#include <functional>
 #include <memory>
 #include <optional>
 
@@ -65,16 +64,6 @@ struct AnalyzerOptions {
   /// bit-identical for every value; 1 = fully sequential.  0 resolves to
   /// ThreadPool::defaultJobs() (SPA_JOBS or the hardware concurrency).
   unsigned Jobs = 1;
-  /// Sparse engine only: invoked between dependency-graph construction
-  /// and the main fixpoint, with the partially-filled run (Pre, DU and
-  /// Graph are final) and the fully-populated SparseOptions about to be
-  /// used.  The incremental server (docs/SERVER.md) hooks here to compute
-  /// partition signatures against its cache and set
-  /// SparseOptions::RestrictNodes, so untouched partitions never enter a
-  /// worklist.  Anything the hook points RestrictNodes at must outlive
-  /// the analyzeProgram call.  Null = no hook.
-  std::function<void(const struct AnalysisRun &, SparseOptions &)>
-      BeforeSparseFix;
   /// Sparse engine only: a dependency graph decoded from a v2 snapshot
   /// (core/DepSnapshot.h) to use instead of running buildDepGraph.  The
   /// graph is *moved out of* — the caller's object is left empty — and

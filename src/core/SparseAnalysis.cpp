@@ -102,21 +102,14 @@ private:
 
 /// Shards of graph nodes with no dependency edges between shards.  Each
 /// shard's node list is ascending.  Returns a single shard holding every
-/// node when \p Jobs <= 1 or the graph is one component.  When
-/// \p Restrict is set (a union of whole components, ascending), only the
-/// restricted nodes are sharded; the rest never enter any worklist.
+/// node when \p Jobs <= 1 or the graph is one component.
 std::vector<std::vector<uint32_t>>
-partitionNodes(const Program &Prog, const SparseGraph &Graph, unsigned Jobs,
-               const std::vector<uint32_t> *Restrict) {
+partitionNodes(const Program &Prog, const SparseGraph &Graph, unsigned Jobs) {
   size_t N = Graph.numNodes();
   auto AllNodes = [&] {
     std::vector<std::vector<uint32_t>> One(1);
-    if (Restrict) {
-      One[0] = *Restrict;
-    } else {
-      One[0].resize(N);
-      std::iota(One[0].begin(), One[0].end(), 0);
-    }
+    One[0].resize(N);
+    std::iota(One[0].begin(), One[0].end(), 0);
     return One;
   };
   if (Jobs <= 1 || Prog.numFuncs() <= 1)
@@ -130,17 +123,9 @@ partitionNodes(const Program &Prog, const SparseGraph &Graph, unsigned Jobs,
   if (NumComps <= 1)
     return AllNodes();
   const std::vector<uint32_t> &CompOfNode = DC.CompOfNode;
-  std::vector<bool> InSet;
-  if (Restrict) {
-    InSet.assign(N, false);
-    for (uint32_t Node : *Restrict)
-      InSet[Node] = true;
-  }
-  auto Included = [&](uint32_t Node) { return !Restrict || InSet[Node]; };
   std::vector<uint32_t> CompSize(NumComps, 0);
   for (uint32_t Node = 0; Node < N; ++Node)
-    if (Included(Node))
-      ++CompSize[CompOfNode[Node]];
+    ++CompSize[CompOfNode[Node]];
 
   // Greedy balance: biggest components first onto the least-loaded
   // shard.  Deterministic (ties by id / shard index), though any
@@ -166,8 +151,7 @@ partitionNodes(const Program &Prog, const SparseGraph &Graph, unsigned Jobs,
   for (size_t S = 0; S < NumShards; ++S)
     Shards[S].reserve(Load[S]);
   for (uint32_t Node = 0; Node < N; ++Node)
-    if (Included(Node))
-      Shards[ShardOfComp[CompOfNode[Node]]].push_back(Node);
+    Shards[ShardOfComp[CompOfNode[Node]]].push_back(Node);
   return Shards;
 }
 
@@ -376,7 +360,7 @@ SparseResult spa::runSparseAnalysis(const Program &Prog,
   };
 
   std::vector<std::vector<uint32_t>> Shards =
-      partitionNodes(Prog, Graph, Opts.Jobs, Opts.RestrictNodes);
+      partitionNodes(Prog, Graph, Opts.Jobs);
   SPA_OBS_GAUGE_SET("par.fix.shards", Shards.size());
 
   Timer Clock;

@@ -61,17 +61,6 @@ struct SparseOptions {
   /// resizes it to the node count and fills count rows deterministically
   /// (shards own disjoint node ids).  Null = no ledger recording.
   obs::Ledger *Led = nullptr;
-  /// Optional restriction of the fixpoint to a subset of graph nodes
-  /// (ascending node ids).  The set must be closed under dependency
-  /// edges — i.e. a union of whole dependency components — because the
-  /// engine still delivers along every outgoing edge of a visited node.
-  /// Within the restricted set the computed In/Out buffers are
-  /// bit-identical to a full run (each component is a closed fixpoint
-  /// subsystem; see the component invariant in SparseAnalysis.cpp);
-  /// nodes outside the set keep bottom buffers.  The incremental server
-  /// (docs/SERVER.md) uses this to re-solve only invalidated partitions.
-  /// Null = all nodes.
-  const std::vector<uint32_t> *RestrictNodes = nullptr;
 };
 
 struct SparseResult {

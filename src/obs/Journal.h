@@ -69,8 +69,8 @@ enum class JournalEventKind : uint16_t {
   SnapshotLoad,    ///< A = bytes consumed, B = SnapErrc (0 = ok).
   ShardDispatch,   ///< A = item index, B = shard index.
   ShardWorkerExit, ///< A = shard index, B = 1 if unexpected death.
-  ServeRequest,    ///< A = program digest (low 64), B = partitions solved.
-  ServeCacheHit,   ///< A = program digest, B = partitions served from cache.
+  ServeRequest,    ///< A = program digest (low 64), B = 1 (program solved).
+  ServeCacheHit,   ///< A = program digest, B = 1 (served from cache).
   ServeEvict,      ///< A = evicted program digest, B = bytes released.
   ServeAbort,      ///< A = request id of a request killed mid-flight.
 };

@@ -106,6 +106,8 @@ struct SubscribeRequest {
 struct AnalyzeResponse {
   uint64_t ResultDigest = 0;  ///< FNV-1a over all sparse In/Out buffers.
   uint64_t ProgramDigest = 0; ///< FNV-1a over the canonical snapshot bytes.
+  /// The whole program is the one partition: Total = 1, Reused = 1 on a
+  /// cache hit and 0 otherwise, Solved = Total - Reused.
   uint32_t PartitionsTotal = 0;
   uint32_t PartitionsReused = 0;
   uint32_t PartitionsSolved = 0;
@@ -115,8 +117,8 @@ struct AnalyzeResponse {
   uint32_t Checks = 0;
   uint32_t Alarms = 0;
   double WallSeconds = 0; ///< Server-side request wall clock.
-  /// Ledger rollup of the work actually performed for this request
-  /// (re-solved partitions only; reused partitions cost nothing).
+  /// Ledger rollup of the fixpoint run that produced this result (a
+  /// cache hit replays the figures of the run it was cached from).
   uint64_t LedgerVisits = 0;
   uint64_t LedgerGrowth = 0;
   std::string AlarmsText;     ///< One line per non-safe check.

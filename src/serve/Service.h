@@ -1,4 +1,4 @@
-//===- Service.h - Resident incremental analysis service ------------------===//
+//===- Service.h - Resident analysis service ------------------------------===//
 //
 // Part of the SPA project (PLDI 2012 sparse analysis reproduction).
 //
@@ -6,17 +6,15 @@
 ///
 /// \file
 /// The daemon's brain, socket-free so tests and benches can drive it
-/// in-process: an LRU-bounded cache of analyzed programs keyed by
-/// spa-ir-v1 content digests, plus the incremental path (docs/SERVER.md).
-/// On a request whose program differs from every cached entry, the
-/// service runs the normal pipeline up to the dependency graph, computes
-/// a content signature per dependency-graph partition (union-find
-/// component), and re-runs the sparse fixpoint only for partitions whose
-/// signature matches no cached partition — untouched partitions' In/Out
-/// buffers are copied from cache.  Components are closed fixpoint
-/// subsystems (SparseAnalysis.cpp), so the combined result is
-/// bit-identical to a cold run; tests/server_test.cpp enforces this
-/// across an edit-storm at several --jobs values.
+/// in-process: an LRU-bounded cache of whole-program response templates
+/// keyed by spa-ir content digests (docs/SERVER.md).  A request whose
+/// program matches a cached entry — by raw request bytes or by canonical
+/// program digest — is answered from the template without analyzing; any
+/// other request, an edit included, runs the whole sparse pipeline
+/// exactly as a default `spa-analyze` run does, so every served result
+/// is bit-identical to a cold run (tests/server_test.cpp enforces this
+/// across an edit storm at several --jobs values).  No fixpoint state is
+/// kept between requests.
 ///
 /// Not thread-safe: the server handles one connection at a time, which
 /// also keeps per-request metrics scoping (Registry::resetGauges)
@@ -33,21 +31,20 @@
 #include <memory>
 #include <string>
 #include <unordered_map>
-#include <vector>
 
 namespace spa {
 namespace serve {
 
 struct ServiceOptions {
   /// Base analyzer configuration for every request.  Engine is forced to
-  /// Sparse; the bypass contraction is left on (its default) because the
-  /// dependency partitions only separate under it — see Service.cpp.
+  /// Sparse; the bypass contraction is left on (its default), so a served
+  /// result equals a default `spa-analyze` run — see Service.cpp.
   AnalyzerOptions Analyzer;
-  /// Partition-level reuse.  Off = every request is a cold run
-  /// (the --no-incremental ablation); the cache is neither read nor
-  /// written so warm results cannot leak into the baseline.
+  /// The response cache.  Off = every request is a cold run (the
+  /// --no-incremental ablation); the cache is neither read nor written
+  /// so warm results cannot leak into the baseline.
   bool Incremental = true;
-  /// LRU bounds on resident fixpoint solutions.
+  /// LRU bounds on the cached responses.
   uint64_t MaxCacheBytes = 256ull << 20;
   size_t MaxCacheEntries = 64;
   /// One-shot injected fault (SPA_FAULT=crash@serve, parsed at daemon
@@ -57,13 +54,10 @@ struct ServiceOptions {
   bool FaultArmed = false;
 };
 
-/// One resident analysis: full per-node state buffers plus per-partition
-/// signatures so later requests can adopt untouched partitions.
+/// One analyzed program: the response a cold run produced, replayed on
+/// every later request for the same program.
 struct CacheEntry {
   uint64_t ProgDigest = 0;
-  std::vector<AbsState> In, Out;
-  std::vector<std::vector<uint32_t>> Members; ///< Per partition, ascending.
-  std::vector<uint64_t> Sigs;                 ///< Per partition.
   AnalyzeResponse Resp; ///< Response template (per-request fields blank).
   uint64_t Bytes = 0;
   uint64_t LastUse = 0;
@@ -113,10 +107,6 @@ private:
   /// Raw request bytes -> program digest (skips parse + encode on
   /// byte-identical requests, the repeated-CI-request fast path).
   std::unordered_map<uint64_t, uint64_t> SrcMemo;
-  /// Partition signature -> (program digest, partition index).  A
-  /// multimap because distinct programs legitimately share partitions —
-  /// that sharing is the whole point.
-  std::unordered_multimap<uint64_t, std::pair<uint64_t, uint32_t>> SigIndex;
   uint64_t TotalBytes = 0;
   uint64_t Tick = 0;
   /// Daemon start on the shared observability timebase (obs/Trace.h).

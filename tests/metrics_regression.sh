@@ -152,10 +152,12 @@ fi
 # The resident daemon's serve.* keys ride the same contract.  A fixed
 # request sequence (cold then warm on pointers.spa) makes every count —
 # requests, hits/misses, partition totals — a pure function of program
-# + options, so the warm request's metrics gate at tolerance zero
-# against the checked-in baseline.  serve.request.seconds and
-# serve.cache.bytes are deliberately outside the gate (wall time and
-# container-overhead estimates are machine-dependent).
+# + options, so the warm request's metrics gate against the checked-in
+# baseline.  serve.cache.bytes is gated too: a cache entry holds only the
+# response template (struct + alarm/invariant text), so a return of
+# resident fixpoint state would multiply it and fail here.
+# serve.request.seconds is deliberately outside the gate (wall time is
+# machine-dependent).
 SOCK="$WORK/daemon.sock"
 "$SERVE" --socket="$SOCK" 2> "$WORK/serve.log" &
 SERVER_PID=$!
@@ -209,6 +211,7 @@ done
   --key=serve.cache.hits \
   --key=serve.cache.misses \
   --key=serve.cache.entries \
+  --key=serve.cache.bytes \
   --key=serve.partitions.total \
   --key=serve.partitions.reused \
   --key=trace.spans \

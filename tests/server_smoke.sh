@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # Tier-2 spa-serve smoke: daemon up on a Unix-domain socket, one cold +
 # one warm request through `spa-analyze --connect`, bit-identical result
-# digests, partition reuse on a single-function edit, serve.* metrics
-# keys present in both the per-request JSON and --serve-stats, clean
-# shutdown.
+# digests, a single-function edit served as a whole-program miss and its
+# repeat as a hit, serve.* metrics keys present in both the per-request
+# JSON and --serve-stats, clean shutdown.
 #
 #   server_smoke.sh <spa-serve> <spa-analyze> <examples-dir>
 #
@@ -67,9 +67,10 @@ diff <(tail -n +2 "$WORK/cold.txt") <(tail -n +2 "$WORK/warm.txt") || {
   exit 1
 }
 
-# Single-function edit: partitions are reused, not re-solved wholesale,
-# and the warm result matches the daemon's own cold (--no-incremental)
-# run of the edited program.
+# Single-function edit: the whole program is the unit of reuse, so the
+# edit is a miss that re-solves everything, a repeat of it is a hit, and
+# the result matches the daemon's own cold (--no-incremental) run of the
+# edited program.
 cat > "$WORK/multi.spa" <<'EOF'
 fun alpha() {
   a = 0;
@@ -94,10 +95,15 @@ EOF
 sed 's/a < 10/a < 42/' "$WORK/multi.spa" > "$WORK/multi_edit.spa"
 "$ANALYZE" --connect="$SOCK" "$WORK/multi.spa" > /dev/null || exit 1
 EDIT_LINE=$("$ANALYZE" --connect="$SOCK" "$WORK/multi_edit.spa" | head -1)
-REUSED=$(echo "$EDIT_LINE" | sed 's/.*reused=\([0-9]*\).*/\1/')
-[ "$REUSED" -gt 0 ] || {
+echo "$EDIT_LINE" | grep -q 'reused=0 .*cache_hit=0' || {
   echo "$EDIT_LINE"
-  echo "FAIL: single-function edit reused no partitions"
+  echo "FAIL: single-function edit should be a whole-program miss"
+  exit 1
+}
+REPEAT_LINE=$("$ANALYZE" --connect="$SOCK" "$WORK/multi_edit.spa" | head -1)
+echo "$REPEAT_LINE" | grep -q 'cache_hit=1' || {
+  echo "$REPEAT_LINE"
+  echo "FAIL: repeat of the edit should be a cache hit"
   exit 1
 }
 EDIT_DIGEST=$(echo "$EDIT_LINE" | sed 's/.*digest=\([0-9a-f]*\).*/\1/')

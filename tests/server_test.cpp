@@ -7,22 +7,23 @@
 /// \file
 /// The spa-serve contract (docs/SERVER.md), enforced at three layers:
 ///
-///  * Service (in-process): warm results are bit-identical to a cold
+///  * Service (in-process): served results are bit-identical to a cold
 ///    `spa-analyze` run — same hashSparseStates digest at every --jobs —
-///    across an edit-storm of single-function edits, with partition
-///    reuse actually firing (serve.partitions.reused > 0).  Plus the
-///    LRU bounds, the --no-incremental ablation, and the one-shot
+///    across an edit-storm of single-function edits.  The whole program
+///    is the unit of reuse: an edit is a cache miss that re-solves
+///    everything, a repeat is a whole-program hit.  Plus the LRU entry
+///    and byte bounds, the --no-incremental ablation, and the one-shot
 ///    injected fault.
 ///  * Wire protocol (socket): lifecycle with sequential and concurrent
 ///    clients, typed rejection of bad handshakes and oversized frames.
 ///  * Snapshot v2 depgraph section: encode/decode round trip, the
 ///    depSnapshotUsable options gate, and the PrebuiltGraph warm start.
 ///
-/// Also pins the load-bearing fact the Service design rests on: the
-/// buffer-overrun checker reads pointer operands only at genuine uses,
-/// so its verdicts are identical with and without the bypass
-/// contraction (the Service keeps bypass ON, because dependency
-/// partitions only separate under it).
+/// Also pins the load-bearing fact the Service's check path rests on:
+/// the buffer-overrun checker reads pointer operands only at genuine
+/// uses, so its verdicts are identical with and without the bypass
+/// contraction (the Service keeps bypass ON, like a default
+/// `spa-analyze` run).
 ///
 //===----------------------------------------------------------------------===//
 
@@ -58,10 +59,9 @@ using namespace spa::serve;
 namespace {
 
 /// Three data-independent workers plus main: no shared globals and no
-/// argument/return traffic, so the bypassed dependency graph splits into
-/// one partition per worker loop (plus main's).  The literals are the
-/// edit-storm knobs: changing one only perturbs that worker's partition
-/// signature.
+/// argument/return traffic.  The literals are the edit-storm knobs:
+/// changing one edits a single worker's loop, which gives the program a
+/// new digest (a cache miss) while leaving the other functions intact.
 std::string multiSource(int ABound, int BStart, int CRounds) {
   char Buf[768];
   std::snprintf(Buf, sizeof(Buf),
@@ -148,14 +148,13 @@ TEST(ServeService, WarmResultsBitIdenticalToColdAtEveryJobs) {
     EXPECT_EQ(Cold.CacheHit, 0u);
     EXPECT_EQ(Cold.ResultDigest, coldDigest(Base, Jobs)) << "jobs " << Jobs;
 
-    // Single-function edit: the warm run must re-solve only alpha's
-    // partition yet produce exactly the cold result.
+    // Single-function edit on a warm service: a miss that re-solves the
+    // whole program and produces exactly the cold result.
     AnalyzeResponse Warm = mustAnalyze(Svc, Edited, 0, Jobs);
     EXPECT_EQ(Warm.CacheHit, 0u);
-    EXPECT_GT(Warm.PartitionsReused, 0u) << "jobs " << Jobs;
-    EXPECT_LT(Warm.PartitionsSolved, Warm.PartitionsTotal);
-    EXPECT_EQ(Warm.PartitionsReused + Warm.PartitionsSolved,
-              Warm.PartitionsTotal);
+    EXPECT_EQ(Warm.PartitionsReused, 0u) << "jobs " << Jobs;
+    EXPECT_EQ(Warm.PartitionsTotal, 1u) << "jobs " << Jobs;
+    EXPECT_EQ(Warm.PartitionsSolved, 1u) << "jobs " << Jobs;
     EXPECT_EQ(Warm.ResultDigest, coldDigest(Edited, Jobs)) << "jobs " << Jobs;
   }
 }
@@ -169,21 +168,19 @@ TEST(ServeService, RepeatRequestIsWholeProgramCacheHit) {
   EXPECT_EQ(Second.CacheHit, 1u);
   EXPECT_EQ(Second.ResultDigest, First.ResultDigest);
   EXPECT_EQ(Second.ProgramDigest, First.ProgramDigest);
-  EXPECT_EQ(Second.PartitionsReused, Second.PartitionsTotal);
+  EXPECT_EQ(Second.PartitionsTotal, 1u);
+  EXPECT_EQ(Second.PartitionsReused, 1u);
   EXPECT_EQ(Second.PartitionsSolved, 0u);
 }
 
-TEST(ServeService, EditStormWarmEqualsColdAndReusesPartitions) {
+TEST(ServeService, EditStormWarmEqualsCold) {
   Service Svc(defaultServiceOptions());
   mustAnalyze(Svc, multiSource(10, 100, 5));
 
-  // ~50 single-function edits (round-robin over the three workers, with
-  // repeats so whole-program cache hits occur too).  Every warm result
-  // must match a cold run bit for bit, and partial partition reuse must
-  // actually fire — reuse that never triggers would make the warm path
-  // a silent full re-analysis.
-  uint64_t TotalReused = 0;
-  bool SawPartialReuse = false;
+  // 50 single-function edits, round-robin over the three workers.  Every
+  // served result must match a cold run bit for bit, and a miss must
+  // re-solve the whole program.
+  std::vector<std::pair<std::string, uint64_t>> Served;
   int A = 10, B = 100, C = 5;
   for (int I = 0; I < 50; ++I) {
     switch (I % 3) {
@@ -200,12 +197,21 @@ TEST(ServeService, EditStormWarmEqualsColdAndReusesPartitions) {
     const std::string Src = multiSource(A, B, C);
     AnalyzeResponse Warm = mustAnalyze(Svc, Src);
     ASSERT_EQ(Warm.ResultDigest, coldDigest(Src)) << "edit " << I;
-    TotalReused += Warm.PartitionsReused;
-    SawPartialReuse |= Warm.CacheHit == 0 && Warm.PartitionsReused > 0 &&
-                       Warm.PartitionsSolved > 0;
+    EXPECT_EQ(Warm.PartitionsTotal, 1u) << "edit " << I;
+    EXPECT_EQ(Warm.PartitionsReused, Warm.CacheHit) << "edit " << I;
+    Served.emplace_back(Src, Warm.ResultDigest);
   }
-  EXPECT_GT(TotalReused, 0u);
-  EXPECT_TRUE(SawPartialReuse);
+
+  // Repeats of earlier edits (all 50 fit the default cache) are
+  // whole-program hits replaying the cold digest — a cache that never
+  // hits would make the service a slow cold run.
+  for (size_t K : {size_t(0), size_t(17), Served.size() - 1}) {
+    AnalyzeResponse Again = mustAnalyze(Svc, Served[K].first);
+    EXPECT_EQ(Again.CacheHit, 1u) << "repeat of edit " << K;
+    EXPECT_EQ(Again.PartitionsReused, 1u) << "repeat of edit " << K;
+    EXPECT_EQ(Again.PartitionsSolved, 0u) << "repeat of edit " << K;
+    EXPECT_EQ(Again.ResultDigest, Served[K].second) << "repeat of edit " << K;
+  }
 }
 
 TEST(ServeService, NoIncrementalAblationBypassesTheCache) {
@@ -288,6 +294,28 @@ TEST(ServeService, CacheEvictionHonorsEntryBudget) {
   // The evicted program (LRU = the first) must re-analyze correctly.
   AnalyzeResponse Again = mustAnalyze(Svc, multiSource(10, 100, 5));
   EXPECT_EQ(Again.ResultDigest, R1.ResultDigest);
+
+  // The byte bound alone: room for two entries of this size but not
+  // three, with the entry bound out of the way.
+  Service Probe(defaultServiceOptions());
+  mustAnalyze(Probe, multiSource(10, 100, 5));
+  const uint64_t EntryBytes = Probe.cacheBytes();
+  ASSERT_GT(EntryBytes, 0u);
+  ServiceOptions B = defaultServiceOptions();
+  B.MaxCacheEntries = 100;
+  B.MaxCacheBytes = EntryBytes * 5 / 2;
+  Service BSvc(B);
+  mustAnalyze(BSvc, multiSource(10, 100, 5));
+  mustAnalyze(BSvc, multiSource(11, 101, 6));
+  mustAnalyze(BSvc, multiSource(12, 102, 7));
+  EXPECT_EQ(BSvc.cacheEntries(), 2u);
+  EXPECT_LE(BSvc.cacheBytes(), B.MaxCacheBytes);
+  // LRU order under the byte bound: the newest is a hit, the first was
+  // evicted and re-analyzes to the same digest.
+  EXPECT_EQ(mustAnalyze(BSvc, multiSource(12, 102, 7)).CacheHit, 1u);
+  AnalyzeResponse Evicted = mustAnalyze(BSvc, multiSource(10, 100, 5));
+  EXPECT_EQ(Evicted.CacheHit, 0u);
+  EXPECT_EQ(Evicted.ResultDigest, R1.ResultDigest);
 }
 
 TEST(ServeService, InjectedFaultIsTypedAndOneShot) {

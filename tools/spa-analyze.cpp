@@ -351,8 +351,8 @@ std::string readInput(const std::string &Path) {
 
 /// --connect: ship the program to a resident spa-serve daemon and render
 /// its response in the cold CLI's output format (docs/SERVER.md).  The
-/// summary line carries the warm-path evidence (partition reuse, cache
-/// hits) the server tests and the bench ablation grep for.
+/// summary line carries the warm-path evidence (whole-program reuse,
+/// cache hits) the server tests and the bench ablation grep for.
 int runConnectMode(const CliOptions &Cli) {
   serve::Client C;
   std::string Error;

@@ -1,20 +1,20 @@
-//===- spa-serve.cpp - Resident incremental analysis daemon ---------------===//
+//===- spa-serve.cpp - Resident analysis daemon ---------------------------===//
 //
 // Part of the SPA project (PLDI 2012 sparse analysis reproduction).
 //
 //===----------------------------------------------------------------------===//
 ///
 /// \file
-/// The spa-serve daemon: keeps parsed programs, dependency graphs and
-/// per-partition fixpoint solutions resident behind a Unix-domain socket
-/// so repeated analysis requests (CI bots, editor integrations) pay cold
-/// cost once (docs/SERVER.md).  Clients are `spa-analyze --connect=SOCK`
+/// The spa-serve daemon: caches each analyzed program's response behind
+/// a Unix-domain socket so repeated analysis requests (CI bots, editor
+/// integrations) pay cold cost once; an edited program is a new program
+/// and is analyzed whole (docs/SERVER.md).  Clients are `spa-analyze --connect=SOCK`
 /// or anything speaking serve/Protocol.h.
 ///
 /// Usage: spa-serve --socket=PATH [options]
 ///   --socket=PATH       Unix-domain socket to listen on (required).
 ///   --jobs=N            Default worker lanes per request (0 = auto).
-///   --cache-mb=N        Resident-solution cache budget (default 256).
+///   --cache-mb=N        Response cache budget in MiB (default 256).
 ///   --cache-entries=N   Max cached programs (default 64).
 ///   --no-incremental    Ablation: every request is a cold run; the
 ///                       cache is neither read nor written.
